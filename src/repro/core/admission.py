@@ -20,7 +20,6 @@ coordination is required.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 
@@ -38,7 +37,9 @@ def participation_token(client_secret: bytes, query_id: str, epoch: int) -> str:
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
     message = f"{query_id}|{epoch}".encode("utf-8")
-    return hmac.new(client_secret, message, hashlib.sha256).hexdigest()[:32]
+    # The one-shot digest is the same HMAC-SHA256 as ``hmac.new(...)``
+    # without the stateful HMAC object; the token is its first 16 bytes, hex.
+    return hmac.digest(client_secret, message, "sha256")[:16].hex()
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from repro.core.admission import participation_token
 from repro.core.budget import ExecutionParameters
@@ -30,7 +30,7 @@ from repro.core.randomized_response import RandomizedResponder
 from repro.core.sampling import SimpleRandomSampler
 from repro.core.seeding import derive_query_seed, derive_query_seed_bytes
 from repro.crypto.prng import KeystreamGenerator, secure_random_bytes
-from repro.sqldb import Database
+from repro.sqldb import ARENA_FALLBACK, Database
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,80 @@ class ClientResponse:
     encrypted: EncryptedAnswer
     truthful_bits: tuple
     randomized_bits: tuple
+
+
+class DrawnAnswer(NamedTuple):
+    """One participating answer after every random draw, before encryption.
+
+    :meth:`Client.draw_answer` produces it: the sampling coin, the truthful
+    bits, the randomized bits and the participation token are fixed, and
+    ``keystream`` is the query's own stream the shares will be cut from.
+    ``query_id``/``epoch``/``bits``/``token`` are the fields
+    :meth:`~repro.core.encryption.AnswerCodec.encrypt_batch` reads.
+    """
+
+    client_id: str
+    query_id: str
+    epoch: int
+    bits: tuple
+    token: str
+    truthful_bits: tuple
+    keystream: KeystreamGenerator
+    num_proxies: int
+
+
+class ArenaValues(NamedTuple):
+    """One statement's answer value for every member slot of a shard arena.
+
+    Built by the shard answer path for plain-projection SELECTs: per slot
+    the value column of the member's last matching row (``None`` when no
+    row matched), the exception the member's own evaluation would raise, or
+    :data:`~repro.sqldb.ARENA_FALLBACK` when the member must evaluate
+    locally.  A client uses it only when its own subscription has the same
+    SQL and value column.
+    """
+
+    sql: str
+    value_column: str | None
+    values: list
+
+
+_SHARD_CODEC = AnswerCodec()
+
+
+def respond_batch(drawn: Sequence[DrawnAnswer]) -> list[ClientResponse]:
+    """Encrypt drawn answers together: the encrypt phase of shard answering.
+
+    Byte-identical to encrypting each answer on its own client (see
+    :meth:`AnswerCodec.encrypt_batch`); answers are batched per proxy count.
+    """
+    groups: dict[int, list[int]] = {}
+    for index, answer in enumerate(drawn):
+        groups.setdefault(answer.num_proxies, []).append(index)
+    encrypted: list = [None] * len(drawn)
+    for num_proxies, indices in groups.items():
+        batch = [drawn[index] for index in indices]
+        results = _SHARD_CODEC.encrypt_batch(
+            batch, [answer.keystream for answer in batch], num_proxies
+        )
+        for index, result in zip(indices, results):
+            encrypted[index] = result
+    # Responses outlive the shard (epoch log, broker records): equal bit
+    # vectors share one tuple, at most 2**bits of them per query.
+    vectors: dict[tuple, tuple] = {}
+    share = vectors.setdefault
+    # Positional construction (field order of ClientResponse): one per answer.
+    return [
+        ClientResponse(
+            answer.client_id,
+            answer.query_id,
+            answer.epoch,
+            result,
+            share(answer.truthful_bits, answer.truthful_bits),
+            share(answer.bits, answer.bits),
+        )
+        for answer, result in zip(drawn, encrypted)
+    ]
 
 
 def _pack_rng_state(state: tuple) -> tuple:
@@ -103,13 +177,15 @@ class Client:
         # token secret.)
         self._rngs: dict[str, random.Random] = {}
         self._keystreams: dict[str, KeystreamGenerator] = {}
-        # Sampler/responder pairs cached per (query, parameter set): both only
-        # hold the (p, q, s) constants plus a reference to that query's RNG,
-        # so reuse across epochs draws exactly the same random sequence as
-        # fresh instances while avoiding two allocations per answer.
+        # Sampler/responder pair cached per query with the parameter set it
+        # was built for: both only hold the (p, q, s) constants plus a
+        # reference to that query's RNG, so reuse across epochs draws exactly
+        # the same random sequence as fresh instances while avoiding two
+        # allocations per answer.  Keyed by query id alone so the hot lookup
+        # hashes a string, not the parameters dataclass.
         self._mechanisms: dict[
-            tuple[str, ExecutionParameters],
-            tuple[SimpleRandomSampler, RandomizedResponder],
+            str,
+            tuple[ExecutionParameters, SimpleRandomSampler, RandomizedResponder],
         ] = {}
         # Local secret behind the anonymous per-epoch participation tokens;
         # it never leaves the device.
@@ -303,14 +379,14 @@ class Client:
 
     # -- query answering -----------------------------------------------------------
 
-    def query_sql(self, query_id: str) -> str | None:
-        """The SQL text of a subscribed query, or ``None`` if unknown.
+    def subscribed_query(self, query_id: str) -> Query | None:
+        """The subscribed query with this id, or ``None`` if unknown.
 
         Lets the shard-wide arena answer path discover which statements an
         epoch will run without touching subscription internals.
         """
         subscription = self._subscriptions.get(query_id)
-        return None if subscription is None else subscription[0].sql
+        return None if subscription is None else subscription[0]
 
     def answer(
         self,
@@ -329,11 +405,11 @@ class Client:
         keystream), so the responses — encrypted shares included — are
         byte-identical to answering each query alone.
 
-        ``scan_cache`` may be pre-seeded by the shard-wide arena path with
-        this client's per-SQL outcome (a result set, or the exception its
-        own evaluation would raise); entries are consumed only for queries
-        whose sampling coin says participate, exactly as a local pass
-        would be.
+        ``scan_cache`` may be pre-seeded with this client's per-SQL outcome
+        (a result set, or the exception its own evaluation would raise, as
+        :func:`~repro.runtime.engine.shard_scan_caches` computes them);
+        entries are consumed only for queries whose sampling coin says
+        participate, exactly as a local pass would be.
         """
         if scan_cache is None:
             scan_cache = {}
@@ -356,35 +432,77 @@ class Client:
         ``scan_cache`` (SQL text → result set) lets a multi-query epoch share
         one table scan across co-subscribed queries; see :meth:`answer`.
         """
-        if query_id not in self._subscriptions:
+        drawn = self.draw_answer(query_id, epoch, scan_cache=scan_cache)
+        if drawn is None:
             return None
-        query, parameters = self._subscriptions[query_id]
+        answer = QueryAnswer(
+            query_id=drawn.query_id, bits=drawn.bits, epoch=epoch, token=drawn.token
+        )
+        encrypted = self._codec.encrypt(
+            answer, num_proxies=drawn.num_proxies, keystream=drawn.keystream
+        )
+        return ClientResponse(
+            client_id=drawn.client_id,
+            query_id=drawn.query_id,
+            epoch=epoch,
+            encrypted=encrypted,
+            truthful_bits=drawn.truthful_bits,
+            randomized_bits=drawn.bits,
+        )
 
+    def draw_answer(
+        self,
+        query_id: str,
+        epoch: int = 0,
+        *,
+        scan_cache: dict[str, Any] | None = None,
+        arena_values: ArenaValues | None = None,
+        slot: int = 0,
+    ) -> DrawnAnswer | None:
+        """Every random draw of one answer, in order; no encryption yet.
+
+        The sampling coin, then the truthful bits (only for participants),
+        the randomized response and the participation token — the steps of
+        :meth:`answer_query` that consume randomness or could fail.  Returns
+        ``None`` for a non-participant or an unknown query.  The shard
+        answer path calls this per client and encrypts a whole shard's
+        drawn answers at once (:func:`respond_batch`).
+
+        ``arena_values`` (with this client's ``slot``) supplies the answer
+        value straight from a shard arena; it is used only when it was
+        computed for this client's own statement, otherwise the query runs
+        through ``scan_cache`` or the local database as in
+        :meth:`answer_query`.
+        """
+        subscription = self._subscriptions.get(query_id)
+        if subscription is None:
+            return None
+        query, parameters = subscription
         sampler, responder = self._mechanisms_for(query_id, parameters)
         if not sampler.should_participate():
             return None
-
-        truthful_bits = self._execute_query_locally(query, scan_cache)
+        if (
+            arena_values is not None
+            and arena_values.sql == query.sql
+            and arena_values.value_column == query.answer_spec.value_column
+            and arena_values.values[slot] is not ARENA_FALLBACK
+        ):
+            value = arena_values.values[slot]
+            if isinstance(value, BaseException):
+                raise value  # what this client's own evaluation would raise
+            truthful_bits = query.encode_value(value)
+        else:
+            truthful_bits = self._execute_query_locally(query, scan_cache)
         randomized_bits = responder.randomize_vector(truthful_bits)
-
-        answer = QueryAnswer(
-            query_id=query.query_id,
-            bits=tuple(randomized_bits),
-            epoch=epoch,
-            token=participation_token(self._token_secret, query.query_id, epoch),
-        )
-        encrypted = self._codec.encrypt(
-            answer,
-            num_proxies=self.config.num_proxies,
-            keystream=self._keystream_for(query_id),
-        )
-        return ClientResponse(
+        return DrawnAnswer(
             client_id=self.config.client_id,
             query_id=query.query_id,
             epoch=epoch,
-            encrypted=encrypted,
+            bits=tuple(randomized_bits),
+            token=participation_token(self._token_secret, query.query_id, epoch),
             truthful_bits=tuple(truthful_bits),
-            randomized_bits=tuple(randomized_bits),
+            keystream=self._keystream_for(query_id),
+            num_proxies=self.config.num_proxies,
         )
 
     def _rng_for(self, query_id: str) -> random.Random:
@@ -425,15 +543,16 @@ class Client:
     def _mechanisms_for(
         self, query_id: str, parameters: ExecutionParameters
     ) -> tuple[SimpleRandomSampler, RandomizedResponder]:
-        cached = self._mechanisms.get((query_id, parameters))
-        if cached is None:
+        cached = self._mechanisms.get(query_id)
+        if cached is None or (cached[0] is not parameters and cached[0] != parameters):
             rng = self._rng_for(query_id)
             cached = (
+                parameters,
                 SimpleRandomSampler(parameters.sampling_fraction, rng=rng),
                 RandomizedResponder(p=parameters.p, q=parameters.q, rng=rng),
             )
-            self._mechanisms[(query_id, parameters)] = cached
-        return cached
+            self._mechanisms[query_id] = cached
+        return cached[1], cached[2]
 
     def truthful_answer(self, query_id: str) -> list[int]:
         """The truthful (pre-randomization) answer vector.

@@ -14,9 +14,11 @@ aggregator cannot drift apart.
 
 from __future__ import annotations
 
+import os
 import struct
 import uuid
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.query import QueryAnswer
 from repro.crypto.prng import KeystreamGenerator
@@ -26,6 +28,9 @@ _MAGIC = b"PA"
 # magic, qid length, epoch, number of answer bits, participation-token length
 _HEADER_FORMAT = ">2sHIHB"
 _HEADER_SIZE = struct.calcsize(_HEADER_FORMAT)
+
+# Byte value -> its eight bits, most significant first (the packing order).
+_BYTE_BITS = tuple(tuple((value >> (7 - k)) & 1 for k in range(8)) for value in range(256))
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,99 @@ class AnswerCodec:
         )
         return EncryptedAnswer(message_id=message_id, shares=tuple(shares))
 
+    def encrypt_batch(
+        self,
+        answers: Sequence,
+        keystreams: Sequence[KeystreamGenerator],
+        num_proxies: int,
+    ) -> list[EncryptedAnswer]:
+        """Encrypt many answers at once, byte-identical to :meth:`encrypt` each.
+
+        ``answers`` are objects with ``query_id``, ``epoch``, ``bits`` (a
+        tuple) and ``token`` attributes (a :class:`QueryAnswer`, or the
+        client's drawn answer); ``keystreams[i]`` is the stream
+        :meth:`encrypt` would have been given for ``answers[i]``.  Each
+        answer still pulls its own ``n - 1`` keys from its own stream, in
+        order, so the share payloads and indices equal a loop of
+        :meth:`encrypt` calls, and an answer that fails validation leaves
+        the earlier answers' streams advanced exactly as that loop would.
+        What is shared is the work around the pads: one
+        header prefix per (query, epoch, bit count, token length), one packed
+        byte string per distinct bit vector, one big-integer XOR over the
+        whole batch per share position (the mirror of
+        :func:`~repro.crypto.xor.join_shares_batch` on the decrypt side) and
+        one ``os.urandom`` call for every message id.  Message ids are random
+        either way; they carry no answer content.
+        """
+        if num_proxies < 2:
+            raise ValueError("PrivApprox requires at least two proxies")
+        count = len(answers)
+        if count != len(keystreams):
+            raise ValueError("encrypt_batch needs one keystream per answer")
+        if count == 0:
+            return []
+        num_keys = num_proxies - 1
+        prefixes: dict[tuple, bytes] = {}
+        # Only vectors that passed ``_pack_bits`` are stored, so a hit needs
+        # no re-check; one query's answers take at most 2**bits vectors.
+        packed_bits: dict[tuple, bytes] = {}
+        lengths = []
+        messages = []
+        keys_by_position: list[list[bytes]] = [[] for _ in range(num_keys)]
+        for answer, keystream in zip(answers, keystreams):
+            bits = answer.bits
+            token_bytes = answer.token.encode("utf-8")
+            prefix_key = (answer.query_id, answer.epoch, len(bits), len(token_bytes))
+            prefix = prefixes.get(prefix_key)
+            if prefix is None:
+                qid_bytes = answer.query_id.encode("utf-8")
+                if len(qid_bytes) > 0xFFFF:
+                    raise ValueError("query id too long")
+                if len(token_bytes) > 0xFF:
+                    raise ValueError("participation token too long")
+                prefix = struct.pack(
+                    _HEADER_FORMAT,
+                    _MAGIC,
+                    len(qid_bytes),
+                    answer.epoch,
+                    len(bits),
+                    len(token_bytes),
+                ) + qid_bytes
+                prefixes[prefix_key] = prefix
+            packed = packed_bits.get(bits)
+            if packed is None:
+                packed = packed_bits[bits] = self._pack_bits(bits)
+            message = prefix + token_bytes + packed
+            length = len(message)
+            # One pull of all n - 1 keys is the same bytes as n - 1 pulls.
+            pads = keystream.next_bytes(num_keys * length)
+            for position, keys in enumerate(keys_by_position):
+                keys.append(pads[position * length : (position + 1) * length])
+            messages.append(message)
+            lengths.append(length)
+
+        joined = b"".join(messages)
+        accumulator = int.from_bytes(joined, "little")
+        for keys in keys_by_position:
+            accumulator ^= int.from_bytes(b"".join(keys), "little")
+        encrypted = accumulator.to_bytes(len(joined), "little")
+        ids = os.urandom(16 * count).hex()
+
+        # Positional construction: this loop builds n + 1 objects per answer.
+        key_positions = list(enumerate(keys_by_position, start=1))
+        out = []
+        offset = 0
+        for index, length in enumerate(lengths):
+            message_id = ids[32 * index : 32 * index + 32]
+            shares = [MessageShare(message_id, encrypted[offset : offset + length], 0)]
+            shares += [
+                MessageShare(message_id, keys[index], position)
+                for position, keys in key_positions
+            ]
+            out.append(EncryptedAnswer(message_id, tuple(shares)))
+            offset += length
+        return out
+
     def decrypt(self, shares: list[MessageShare]) -> QueryAnswer:
         """Join all shares of one message id and decode the answer."""
         return self.decode(join_shares(shares))
@@ -126,10 +224,11 @@ class AnswerCodec:
 
     @staticmethod
     def _unpack_bits(packed: bytes, num_bits: int) -> list[int]:
-        if len(packed) < (num_bits + 7) // 8:
+        num_bytes = (num_bits + 7) // 8
+        if len(packed) < num_bytes:
             raise ValueError("packed bit payload shorter than declared bit count")
-        bits = []
-        for index in range(num_bits):
-            byte = packed[index // 8]
-            bits.append((byte >> (7 - index % 8)) & 1)
+        bits: list[int] = []
+        for byte in packed[:num_bytes]:
+            bits.extend(_BYTE_BITS[byte])
+        del bits[num_bits:]
         return bits

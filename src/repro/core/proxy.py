@@ -84,13 +84,15 @@ class Proxy:
         """
         if not shares:
             return
+        sizes = [share.size_bytes() for share in shares]
         self._producer.send_many(
             self._channel_topic(channel),
             shares,
             keys=[share.message_id for share in shares],
+            payload_sizes=sizes,
         )
         self.shares_relayed += len(shares)
-        self.bytes_relayed += sum(share.size_bytes() for share in shares)
+        self.bytes_relayed += sum(sizes)
 
     # -- shard-aware relay (pipelined runtime) ------------------------------
 

@@ -16,6 +16,7 @@ import os
 import struct
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
+_COUNTER = struct.Struct(">Q")
 
 
 def secure_random_bytes(length: int) -> bytes:
@@ -52,7 +53,7 @@ class KeystreamGenerator:
             raise TypeError("seed must be bytes")
         self._seed = bytes(seed)
         self._counter = 0
-        self._buffer = bytearray()
+        self._buffer = b""
 
     @property
     def seed(self) -> bytes:
@@ -67,7 +68,7 @@ class KeystreamGenerator:
         a shard task) and resume mid-stream: a restored generator produces
         exactly the bytes the original would have produced next.
         """
-        return (self._seed, self._counter, bytes(self._buffer))
+        return (self._seed, self._counter, self._buffer)
 
     def setstate(self, state: tuple[bytes, int, bytes]) -> None:
         """Restore a state captured by :meth:`getstate`."""
@@ -80,36 +81,30 @@ class KeystreamGenerator:
             raise TypeError("state buffer must be bytes")
         self._seed = bytes(seed)
         self._counter = counter
-        self._buffer = bytearray(buffer)
-
-    def _refill(self, min_bytes: int = 1) -> None:
-        """Extend the buffer with however many counter-mode blocks are needed.
-
-        Generating all the blocks for a bulk request in one pass (and joining
-        them once) keeps large ``next_bytes`` calls cheap; the byte stream is
-        identical to refilling one block at a time.
-        """
-        num_blocks = max(1, -(-min_bytes // _DIGEST_SIZE))
-        seed = self._seed
-        counter = self._counter
-        self._buffer.extend(
-            b"".join(
-                hashlib.sha256(seed + struct.pack(">Q", counter + i)).digest()
-                for i in range(num_blocks)
-            )
-        )
-        self._counter = counter + num_blocks
+        self._buffer = bytes(buffer)
 
     def next_bytes(self, length: int) -> bytes:
-        """Return the next ``length`` bytes of the keystream."""
+        """Return the next ``length`` bytes of the keystream.
+
+        Missing bytes are generated as whole counter-mode blocks in one
+        pass; the stream is identical to refilling one block at a time.
+        """
         if length < 0:
             raise ValueError(f"length must be non-negative, got {length}")
-        missing = length - len(self._buffer)
-        if missing > 0:
-            self._refill(missing)
-        out = bytes(self._buffer[:length])
-        del self._buffer[:length]
-        return out
+        buffer = self._buffer
+        if length > len(buffer):
+            seed = self._seed
+            counter = self._counter
+            num_blocks = -(-(length - len(buffer)) // _DIGEST_SIZE)
+            buffer += b"".join(
+                [
+                    hashlib.sha256(seed + _COUNTER.pack(counter + i)).digest()
+                    for i in range(num_blocks)
+                ]
+            )
+            self._counter = counter + num_blocks
+        self._buffer = buffer[length:]
+        return buffer[:length]
 
     def next_bits(self, nbits: int) -> int:
         """Return an integer holding the next ``nbits`` bits of the keystream."""

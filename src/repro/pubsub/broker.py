@@ -109,6 +109,7 @@ class BrokerCluster:
         values: list,
         keys: list[str | None],
         timestamps: list[float],
+        sizes: list[int],
     ) -> list[Record]:
         """Append many values to one topic with aggregated accounting.
 
@@ -117,20 +118,21 @@ class BrokerCluster:
         round-robin progression, same counters) but with one topic lookup,
         a single record construction per value, and one accounting update per
         partition leader — the fast path the sharded epoch runtime batches
-        into.
+        into.  ``sizes`` are the records' :meth:`Record.size_bytes`, computed
+        once by the caller.
         """
         topic = self.topic(topic_name)
         round_robin = self._round_robin
         positioned_batch: list[Record] = []
         per_partition: dict[int, list[int]] = {}
-        for value, key, timestamp in zip(values, keys, timestamps):
+        for value, key, timestamp, size in zip(values, keys, timestamps, sizes):
             round_robin += 1
             index = topic.partition_for(key, round_robin)
             positioned = topic.partitions[index].append_value(value, key, timestamp)
             positioned_batch.append(positioned)
             stats = per_partition.setdefault(index, [0, 0])
             stats[0] += 1
-            stats[1] += positioned.size_bytes()
+            stats[1] += size
         self._round_robin = round_robin
         for index, (count, num_bytes) in per_partition.items():
             self.leader_for(topic_name, index).account_batch(count, num_bytes)

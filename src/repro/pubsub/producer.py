@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.pubsub.broker import BrokerCluster
-from repro.pubsub.record import Record
+from repro.pubsub.record import Record, payload_size, record_size
 
 
 @dataclass
@@ -51,23 +51,35 @@ class Producer:
         return [self.send(topic, value, key=key) for value in values]
 
     def send_many(
-        self, topic: str, values: list[Any], keys: list[str] | None = None
+        self,
+        topic: str,
+        values: list[Any],
+        keys: list[str] | None = None,
+        payload_sizes: list[int] | None = None,
     ) -> list[Record]:
         """Publish many values in one broker round-trip (per-value keys).
 
         Behaves exactly like calling :meth:`send` once per value — the same
         producer clock progression, partition routing and byte accounting —
         but goes through :meth:`BrokerCluster.publish_values`, which is what
-        makes per-shard transmission cheaper than per-client sends.
+        makes per-shard transmission cheaper than per-client sends.  Each
+        record is sized once, here, and the broker reuses those sizes;
+        ``payload_sizes`` lets a caller that already sized the values
+        (``payload_size`` of each) skip that step too.
         """
         if keys is not None and len(keys) != len(values):
             raise ValueError("send_many needs one key per value")
+        if payload_sizes is not None and len(payload_sizes) != len(values):
+            raise ValueError("send_many needs one payload size per value")
         if keys is None:
             keys = [None] * len(values)
+        if payload_sizes is None:
+            payload_sizes = [payload_size(value) for value in values]
+        sizes = [record_size(size, key) for size, key in zip(payload_sizes, keys)]
         clock = self._clock
         timestamps = [clock + offset for offset in range(1, len(values) + 1)]
         self._clock = clock + len(values)
-        positioned_batch = self.cluster.publish_values(topic, values, keys, timestamps)
+        positioned_batch = self.cluster.publish_values(topic, values, keys, timestamps, sizes)
         self.records_sent += len(positioned_batch)
-        self.bytes_sent += sum(record.size_bytes() for record in positioned_batch)
+        self.bytes_sent += sum(sizes)
         return positioned_batch

@@ -69,5 +69,10 @@ class Record:
 
     def size_bytes(self) -> int:
         """Approximate wire size of the record, used by the network model."""
-        key_size = len(self.key.encode("utf-8")) if self.key else 0
-        return payload_size(self.value) + key_size + 16  # 16 bytes framing/timestamp
+        return record_size(payload_size(self.value), self.key)
+
+
+def record_size(payload_bytes: int, key: str | None) -> int:
+    """:meth:`Record.size_bytes` from an already computed payload size."""
+    key_size = len(key.encode("utf-8")) if key else 0
+    return payload_bytes + key_size + 16  # 16 bytes framing/timestamp

@@ -74,6 +74,7 @@ from repro.sqldb import (
     ARENA_FALLBACK,
     ShardArena,
     arena_answering_enabled,
+    arena_last_values,
     arena_select_per_client,
 )
 
@@ -110,61 +111,115 @@ def answer_shard(
     adopt for the next epoch.
 
     With a :class:`~repro.sqldb.columnar.ShardArena` over these clients'
-    databases, the epoch's SQL is evaluated once shard-wide and each
-    client's pre-computed outcome is injected through its ``scan_cache`` —
-    draw-neutral (SQL consumes no randomness), so responses are
-    byte-identical to per-client evaluation.  Members flagged for fallback
-    simply keep an empty cache and answer themselves.
+    databases the shard answers in two phases.  The **draw** phase walks
+    the clients in order and takes every random draw of every answer
+    (:meth:`~repro.core.client.Client.draw_answer`), with the SQL evaluated
+    once shard-wide: plain-projection SELECTs hand each client its answer
+    value straight from the arena (:func:`~repro.sqldb.arena_last_values`),
+    every other statement a pre-computed result set through its
+    ``scan_cache`` (:func:`shard_scan_caches`).  The **encrypt** phase then
+    cuts every drawn answer of one query into shares in one batch
+    (:func:`~repro.core.client.respond_batch`).  SQL consumes no randomness
+    and each answer still pulls its pads from its own client's keystream,
+    so the responses are byte-identical to per-client answering.  If a
+    draw fails, the answers drawn before it are still encrypted — leaving
+    every keystream where the per-client loop would — before the error
+    propagates.  Without a matching arena every client answers itself.
     """
-    caches = shard_scan_caches(clients, query_ids, arena)
-    responses_per_query: list[list["ClientResponse"]] = [[] for _ in query_ids]
-    for slot, client in enumerate(clients):
-        scan_cache = None if caches is None else caches[slot]
-        answers = client.answer(query_ids, epoch=epoch, scan_cache=scan_cache)
-        for index, response in enumerate(answers):
-            if response is not None:
-                responses_per_query[index].append(response)
-    return responses_per_query, clients
+    if arena is None or not clients or not arena.matches(
+        [client.database for client in clients]
+    ):
+        responses_per_query: list[list["ClientResponse"]] = [[] for _ in query_ids]
+        for client in clients:
+            answers = client.answer(query_ids, epoch=epoch)
+            for index, response in enumerate(answers):
+                if response is not None:
+                    responses_per_query[index].append(response)
+        return responses_per_query, clients
+
+    # Imported here: repro.core imports the runtime package at load time.
+    from repro.core.client import ArenaValues, respond_batch
+
+    arena_values: list = [None] * len(query_ids)
+    by_statement: dict[tuple, ArenaValues | None] = {}
+    scan_queries = []
+    for index, query_id in enumerate(query_ids):
+        query = _first_subscribed(clients, query_id)
+        if query is None:
+            continue
+        key = (query.sql, query.answer_spec.value_column)
+        if key not in by_statement:
+            values = arena_last_values(arena, *key)
+            by_statement[key] = None if values is None else ArenaValues(*key, values)
+        arena_values[index] = by_statement[key]
+        if arena_values[index] is None:
+            scan_queries.append(query_id)
+    caches = shard_scan_caches(clients, scan_queries, arena)
+
+    drawn: list[list] = [[] for _ in query_ids]
+    try:
+        for slot, client in enumerate(clients):
+            scan_cache = caches[slot]
+            for index, query_id in enumerate(query_ids):
+                answer = client.draw_answer(
+                    query_id,
+                    epoch,
+                    scan_cache=scan_cache,
+                    arena_values=arena_values[index],
+                    slot=slot,
+                )
+                if answer is not None:
+                    drawn[index].append(answer)
+    except BaseException:
+        for answers in drawn:
+            respond_batch(answers)
+        raise
+    responses = []
+    for index, answers in enumerate(drawn):
+        responses.append(respond_batch(answers))
+        drawn[index] = None  # release the shard's drawn answers right away
+    return responses, clients
+
+
+def _first_subscribed(clients: list["Client"], query_id: str):
+    """The query object of the first client subscribed to ``query_id``."""
+    for client in clients:
+        query = client.subscribed_query(query_id)
+        if query is not None:
+            return query
+    return None
 
 
 def shard_scan_caches(
     clients: list["Client"],
     query_ids: Sequence[str],
-    arena: ShardArena | None,
-) -> list[dict] | None:
+    arena: ShardArena,
+) -> list[dict]:
     """Pre-compute per-client scan caches for one epoch via the shard arena.
 
     Returns one ``{sql: outcome}`` dict per client (outcome is a result
-    set or the exception that client's own evaluation would raise), or
-    ``None`` when the arena is absent or no longer matches the shard's
-    databases (churn replaced a member — the caller answers per-client
-    and the arena owner rebuilds on the next sync).  Statements that fall
-    back (unparsable, non-SELECT, missing table, compiler fallback) are
-    simply absent from every cache; members flagged :data:`ARENA_FALLBACK`
-    are absent from that member's cache only.
+    set or the exception that client's own evaluation would raise).  The
+    arena must match the clients' databases.  Statements that fall back
+    (unparsable, non-SELECT, missing table, compiler fallback) are simply
+    absent from every cache; members flagged :data:`ARENA_FALLBACK` are
+    absent from that member's cache only.  A client whose statement is
+    absent evaluates it locally and shares that one pass between its
+    co-subscribed queries through the same dict.
     """
-    if arena is None or not clients:
-        return None
-    if not arena.matches([client.database for client in clients]):
-        return None
     caches: list[dict] = [{} for _ in clients]
     seen: set[str] = set()
     for query_id in query_ids:
-        sql = None
-        for client in clients:
-            sql = client.query_sql(query_id)
-            if sql is not None:
-                break
-        if sql is None or sql in seen:
+        query = _first_subscribed(clients, query_id)
+        if query is None or query.sql in seen:
             continue
-        seen.add(sql)
-        outcomes = arena_select_per_client(arena, sql)
+        seen.add(query.sql)
+        outcomes = arena_select_per_client(arena, query.sql)
         if outcomes is None:
             continue
         for cache, outcome in zip(caches, outcomes):
             if outcome is ARENA_FALLBACK:
                 continue
-            cache[sql] = outcome
+            cache[query.sql] = outcome
     return caches
 
 

@@ -34,6 +34,7 @@ from repro.sqldb.engine import (
     ARENA_FALLBACK,
     Database,
     arena_answering_enabled,
+    arena_last_values,
     arena_select_per_client,
     per_client_forced,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "ShardArena",
     "ARENA_FALLBACK",
     "arena_select_per_client",
+    "arena_last_values",
     "arena_answering_enabled",
     "per_client_forced",
     "HashIndex",

@@ -606,20 +606,10 @@ def arena_select_per_client(arena, sql: str):
     randomness, so hoisting it shard-wide cannot shift any client's RNG
     or keystream state.
     """
-    try:
-        statement = parse_statement_cached(sql)
-    except Exception:  # noqa: BLE001 - parse errors fall back per client
+    compiled = _arena_plan(arena, sql)
+    if compiled is None:
         return None
-    if not isinstance(statement, ast.SelectStatement):
-        return None
-    table = arena.table(statement.table)
-    if table is None:
-        return None
-    try:
-        plan = plan_for(statement, table.columns)
-    except CompileFallback:
-        return None
-
+    statement, table, plan = compiled
     ids_per_slot = plan.matching_ids_per_client(table)
     outcomes: list = []
     empty_outcome = _UNSET
@@ -640,6 +630,82 @@ def arena_select_per_client(arena, sql: str):
             continue
         outcomes.append(_finish_outcome(statement, table, ids))
     return outcomes
+
+
+def arena_last_values(arena, sql: str, value_column: str | None):
+    """Each member's answer value for a plain-projection SELECT, in one pass.
+
+    The client answers with one value: the value column of its *last*
+    matching row (``repro.core.client``).  For a SELECT with no aggregate,
+    GROUP BY, ORDER BY or LIMIT, a member's result rows are its matching
+    rows in local order, so that value is read straight from the arena's
+    column at the member's last matching arena id — no per-member result
+    set.  Returns a list aligned with ``arena.databases``, each entry one
+    of:
+
+    * the value (``None`` when no row matched);
+    * an :class:`Exception` instance — the error that member's own
+      evaluation would raise;
+    * :data:`ARENA_FALLBACK` — this member must answer itself.
+
+    Returns ``None`` when :func:`arena_select_per_client` would, and for
+    every other statement shape — including a projected column the arena
+    holds under a different case, whose errors only the finishing code
+    reproduces — so the caller takes the result-set route instead.
+    ``value_column`` resolves against the output names (aliases) exactly
+    as the client resolves it against a result set's columns: its first
+    occurrence, or the first column when absent or ``None``.
+    """
+    compiled = _arena_plan(arena, sql)
+    if compiled is None:
+        return None
+    statement, table, plan = compiled
+    if (
+        statement.group_by
+        or statement.order_by is not None
+        or statement.limit is not None
+        or any(isinstance(item, ast.Aggregate) for item in statement.items)
+    ):
+        return None
+    if statement.select_star:
+        out_columns = source_columns = table.column_names
+    else:
+        out_columns = [item.alias or item.column for item in statement.items]
+        source_columns = [item.column for item in statement.items]
+    if not all(table.has_column(column) for column in source_columns):
+        return None
+    position = out_columns.index(value_column) if value_column in out_columns else 0
+    vector = table.column(source_columns[position])
+
+    scan_forced = _env_flag("SQLDB_FORCE_SCAN")
+    values: list = []
+    for db, ids in zip(arena.databases, plan.matching_ids_per_client(table)):
+        if ids is None or scan_forced or db.force_scan:
+            values.append(ARENA_FALLBACK)
+        elif isinstance(ids, BaseException):
+            values.append(ids)
+        else:
+            values.append(vector[ids[-1]] if len(ids) else None)
+    return values
+
+
+def _arena_plan(arena, sql: str):
+    """``(statement, arena table, compiled plan)`` for one SELECT, or ``None``
+    for the statement-level fallbacks of :func:`arena_select_per_client`."""
+    try:
+        statement = parse_statement_cached(sql)
+    except Exception:  # noqa: BLE001 - parse errors fall back per client
+        return None
+    if not isinstance(statement, ast.SelectStatement):
+        return None
+    table = arena.table(statement.table)
+    if table is None:
+        return None
+    try:
+        plan = plan_for(statement, table.columns)
+    except CompileFallback:
+        return None
+    return statement, table, plan
 
 
 def _finish_outcome(stmt: ast.SelectStatement, table, ids):

@@ -1,5 +1,8 @@
 """Tests for the duplicate-answer defense (participation tokens + admission)."""
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -277,3 +280,16 @@ class TestAdmitBatch:
     def test_empty_batch(self):
         controller = AnswerAdmissionController()
         assert controller.admit_batch("q", []) == []
+
+
+class TestParticipationTokenBytes:
+    @given(
+        secret=st.binary(min_size=1, max_size=100),
+        query_id=st.text(max_size=40),
+        epoch=st.integers(min_value=0, max_value=2**40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_shot_digest_matches_hmac_object(self, secret, query_id, epoch):
+        message = f"{query_id}|{epoch}".encode("utf-8")
+        expected = hmac.new(secret, message, hashlib.sha256).hexdigest()[:32]
+        assert participation_token(secret, query_id, epoch) == expected

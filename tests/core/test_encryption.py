@@ -1,5 +1,7 @@
 """Tests for answer encoding and XOR share splitting (Step III)."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -103,3 +105,118 @@ class TestAnswerCodec:
         assert decrypted.bits == answer.bits
         assert decrypted.query_id == answer.query_id
         assert decrypted.epoch == epoch
+
+
+def _reference_unpack(packed: bytes, num_bits: int) -> list[int]:
+    """The per-bit loop the table-driven decoder replaced."""
+    return [(packed[index // 8] >> (7 - index % 8)) & 1 for index in range(num_bits)]
+
+
+class TestUnpackBitsTable:
+    def test_every_byte_value_and_bit_count(self):
+        for value in range(256):
+            packed = bytes([value, value ^ 0xA5])
+            for num_bits in range(1, 17):
+                assert AnswerCodec._unpack_bits(packed, num_bits) == _reference_unpack(
+                    packed, num_bits
+                ), (value, num_bits)
+
+    def test_ignores_trailing_bytes(self):
+        assert AnswerCodec._unpack_bits(b"\x80\xff\xff", 3) == [1, 0, 0]
+
+    def test_zero_bits(self):
+        assert AnswerCodec._unpack_bits(b"", 0) == []
+
+    def test_truncated_payload_rejected(self):
+        with pytest.raises(ValueError, match="shorter than declared"):
+            AnswerCodec._unpack_bits(b"\xff", 9)
+
+
+def _batch_answers() -> list[QueryAnswer]:
+    """Mixed message lengths: bit counts, token lengths, query ids, epochs."""
+    return [
+        QueryAnswer(query_id="analyst-00000001", bits=(1, 0, 0, 1), epoch=3, token="a" * 32),
+        QueryAnswer(query_id="analyst-00000001", bits=(0,) * 8, epoch=3, token="b" * 32),
+        QueryAnswer(query_id="q", bits=(1,) * 13, epoch=0, token=""),
+        QueryAnswer(query_id="analyst-00000001", bits=(1, 0, 0, 1), epoch=3, token="c" * 32),
+        QueryAnswer(query_id="other-query", bits=tuple([0, 1] * 20), epoch=70_000, token="tok"),
+        QueryAnswer(query_id="q", bits=(0, 1, 1), epoch=1, token="d" * 200),
+    ]
+
+
+def _streams(count: int) -> list[KeystreamGenerator]:
+    return [KeystreamGenerator(seed=f"batch-{index}".encode()) for index in range(count)]
+
+
+class TestEncryptBatch:
+    @pytest.mark.parametrize("num_proxies", [2, 3, 4])
+    def test_matches_per_answer_encrypt(self, codec, num_proxies):
+        answers = _batch_answers()
+        reference_streams = _streams(len(answers))
+        batch_streams = _streams(len(answers))
+        expected = [
+            codec.encrypt(answer, num_proxies=num_proxies, keystream=stream)
+            for answer, stream in zip(answers, reference_streams)
+        ]
+        actual = codec.encrypt_batch(answers, batch_streams, num_proxies)
+        assert len(actual) == len(expected)
+        for got, want in zip(actual, expected):
+            assert [(s.index, s.payload) for s in got.shares] == [
+                (s.index, s.payload) for s in want.shares
+            ]
+        # Every stream advanced exactly as far as the per-answer loop took it.
+        assert [s.getstate() for s in batch_streams] == [
+            s.getstate() for s in reference_streams
+        ]
+
+    @pytest.mark.parametrize("num_proxies", [2, 3, 4])
+    def test_roundtrip_and_message_ids(self, codec, num_proxies):
+        answers = _batch_answers()
+        encrypted = codec.encrypt_batch(answers, _streams(len(answers)), num_proxies)
+        ids = [item.message_id for item in encrypted]
+        assert len(set(ids)) == len(ids)
+        for item, answer in zip(encrypted, answers):
+            assert item.num_shares == num_proxies
+            assert {share.message_id for share in item.shares} == {item.message_id}
+            assert codec.decrypt(list(item.shares)) == answer
+
+    def test_same_stream_twice_in_one_batch(self, codec):
+        answers = _batch_answers()[:2]
+        reference, batched = KeystreamGenerator(seed=b"one"), KeystreamGenerator(seed=b"one")
+        expected = [codec.encrypt(a, num_proxies=3, keystream=reference) for a in answers]
+        actual = codec.encrypt_batch(answers, [batched, batched], 3)
+        for got, want in zip(actual, expected):
+            assert [s.payload for s in got.shares] == [s.payload for s in want.shares]
+
+    def test_empty_batch(self, codec):
+        stream = KeystreamGenerator(seed=b"idle")
+        before = stream.getstate()
+        assert codec.encrypt_batch([], [], 2) == []
+        assert stream.getstate() == before
+
+    def test_non_binary_bit_raises_like_encrypt(self, codec):
+        good = _batch_answers()[0]
+        bad = SimpleNamespace(query_id="q", epoch=0, bits=(0, 2, 1), token="t")
+        with pytest.raises(ValueError) as per_answer:
+            codec.encrypt(bad, num_proxies=2, keystream=KeystreamGenerator(seed=b"x"))
+        streams = _streams(2)
+        with pytest.raises(ValueError) as batched:
+            codec.encrypt_batch([good, bad], streams, 2)
+        assert str(batched.value) == str(per_answer.value) == "answer bits must be 0 or 1"
+        # The answer before the bad one pulled its pads, as a loop would have.
+        reference = _streams(1)[0]
+        codec.encrypt(good, num_proxies=2, keystream=reference)
+        assert streams[0].getstate() == reference.getstate()
+
+    def test_bad_bit_never_cached(self, codec):
+        bad = SimpleNamespace(query_id="q", epoch=0, bits=(3,), token="")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                codec.encrypt_batch([bad], _streams(1), 2)
+
+    def test_requires_two_proxies_and_one_stream_per_answer(self, codec):
+        answers = _batch_answers()[:2]
+        with pytest.raises(ValueError):
+            codec.encrypt_batch(answers, _streams(2), 1)
+        with pytest.raises(ValueError):
+            codec.encrypt_batch(answers, _streams(1), 2)

@@ -143,3 +143,42 @@ class TestShardAwareTopics:
         network.transmit_shard(0, rows)
         expected = sum(share.size_bytes() for row in rows for share in row)
         assert network.total_bytes_relayed() == expected
+
+
+class TestBatchedRelaySizing:
+    """The batched relay sizes each share once; its counters must still equal
+    the per-share path's, record for record."""
+
+    @staticmethod
+    def _counters(network: ProxyNetwork) -> tuple:
+        return (
+            [proxy.shares_relayed for proxy in network.proxies],
+            [proxy.bytes_relayed for proxy in network.proxies],
+            [proxy._producer.bytes_sent for proxy in network.proxies],
+            [proxy._producer.records_sent for proxy in network.proxies],
+            [broker.bytes_handled for broker in network.cluster.brokers],
+            [broker.records_handled for broker in network.cluster.brokers],
+        )
+
+    @pytest.mark.parametrize("num_proxies", [2, 3])
+    def test_transmit_batch_counters_match_per_share_transmit(self, num_proxies):
+        codec = AnswerCodec()
+        rows = [
+            list(
+                codec.encrypt(
+                    QueryAnswer(query_id="q", bits=tuple([1, 0] * (index + 1)), token="t" * index),
+                    num_proxies=num_proxies,
+                    keystream=KeystreamGenerator(seed=bytes([index])),
+                ).shares
+            )
+            for index in range(7)
+        ]
+        per_share = ProxyNetwork(num_proxies=num_proxies)
+        for row in rows:
+            per_share.transmit(row, channel="c")
+        batched = ProxyNetwork(num_proxies=num_proxies)
+        batched.transmit_batch(rows, channel="c")
+        assert self._counters(batched) == self._counters(per_share)
+        assert batched.total_bytes_relayed() == sum(
+            share.size_bytes() for row in rows for share in row
+        )

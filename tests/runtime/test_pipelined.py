@@ -157,10 +157,77 @@ class TestFailureSurfacing:
         def explode(*args, **kwargs):
             raise RuntimeError("client device on fire")
 
-        system.clients[13].answer_query = explode
+        system.clients[13].draw_answer = explode
         with pytest.raises(RuntimeError, match="client device on fire"):
             system.run_epoch(query_id, 0)
         system.close()
+
+    @staticmethod
+    def _faulted_multi_query_run(fault_client: int) -> list[bytes]:
+        """Two queries over 12 clients in 2 shards; client ``fault_client``
+        fails on the second query it draws.  Returns every client's state
+        fingerprint after the failed epoch."""
+        config = SystemConfig(
+            num_clients=12, seed=7, executor="inline/in-process", executor_shards=2
+        )
+        system = PrivApproxSystem(config)
+        system.provision_clients([("value", "REAL")], lambda i: [{"value": float(i % 8)}])
+        analyst = Analyst("fault-seam")
+        for sql in ("SELECT value FROM private_data", "SELECT * FROM private_data"):
+            query = analyst.create_query(
+                sql,
+                AnswerSpec(
+                    buckets=RangeBuckets.uniform(0.0, 8.0, 4, open_ended=True),
+                    value_column="value",
+                ),
+                frequency_seconds=60.0,
+                window_seconds=60.0,
+                slide_seconds=60.0,
+            )
+            system.submit_query(analyst, query, QueryBudget(), parameters=PARAMS)
+        system.run_epoch_all(0)
+        client = system.clients[fault_client]
+        original = client.draw_answer
+        draws = {"count": 0}
+
+        def fail_second_draw(*args, **kwargs):
+            draws["count"] += 1
+            if draws["count"] == 2:
+                raise RuntimeError("fault mid-shard")
+            return original(*args, **kwargs)
+
+        client.draw_answer = fail_second_draw
+        first_query = system.query_ids()[0]
+        before = client._keystream_for(first_query).getstate()
+        with pytest.raises(RuntimeError, match="fault mid-shard"):
+            system.run_epoch_all(1)
+        # The faulting client's earlier query was encrypted before the error
+        # propagated: its pads were pulled.
+        assert client._keystream_for(first_query).getstate() != before
+        fingerprints = [c.state_fingerprint() for c in system.clients]
+        system.close()
+        return fingerprints
+
+    def test_fault_mid_shard_leaves_per_client_state(self, monkeypatch):
+        """A draw failure at client k of a shard still encrypts what was
+        drawn before it, so every client's random streams end where the
+        per-client reference path leaves them under the same fault."""
+        monkeypatch.delenv("SQLDB_FORCE_PER_CLIENT", raising=False)
+        monkeypatch.delenv("SQLDB_FORCE_SCAN", raising=False)
+        answer_query_calls = []
+        original_answer_query = Client.answer_query
+
+        def tracking_answer_query(self, *args, **kwargs):
+            answer_query_calls.append(self.config.client_id)
+            return original_answer_query(self, *args, **kwargs)
+
+        monkeypatch.setattr(Client, "answer_query", tracking_answer_query)
+        batched = self._faulted_multi_query_run(fault_client=8)
+        assert answer_query_calls == []  # the shard-batched path answered
+        monkeypatch.setenv("SQLDB_FORCE_PER_CLIENT", "1")
+        per_client = self._faulted_multi_query_run(fault_client=8)
+        assert answer_query_calls  # the per-client reference answered
+        assert batched == per_client
 
     def test_transmit_exception_surfaces(self):
         system, query_id = make_system(num_clients=12, shards=3)
@@ -218,15 +285,15 @@ class TestFailureSurfacing:
     def test_executor_survives_for_the_next_epoch(self):
         """After a failed epoch the pool is intact and can run again."""
         system, query_id = make_system(num_clients=12, shards=3)
-        original = system.clients[5].answer_query
+        original = system.clients[5].draw_answer
 
         def explode(*args, **kwargs):
             raise RuntimeError("transient fault")
 
-        system.clients[5].answer_query = explode
+        system.clients[5].draw_answer = explode
         with pytest.raises(RuntimeError, match="transient fault"):
             system.run_epoch(query_id, 0)
-        system.clients[5].answer_query = original
+        system.clients[5].draw_answer = original
         report = system.run_epoch(query_id, 1)
         assert report.num_participants == 12
         system.close()

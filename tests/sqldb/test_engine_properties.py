@@ -558,3 +558,109 @@ class TestArenaDifferentialFuzz:
         assert outcomes[1] is ARENA_FALLBACK
         assert outcomes[0] is not ARENA_FALLBACK
         assert outcomes[2] is not ARENA_FALLBACK
+
+
+# -- direct arena values (the shard answer path's plain-projection route) -----
+
+from repro.sqldb import arena_last_values  # noqa: E402
+
+
+def _client_value(db: Database, sql: str, value_column):
+    """The one value a client answers with from its own result set: the
+    value column of the last row, the first column when the name is not an
+    output column, ``None`` without rows (``repro.core.client``)."""
+    try:
+        result = db.query(sql)
+    except Exception as exc:  # noqa: BLE001 — parity includes error behavior
+        return ("error", type(exc).__name__, str(exc))
+    if len(result) == 0:
+        return ("value", None)
+    row = result.rows[-1]
+    if value_column is not None and value_column in result.columns:
+        return ("value", _normalize(row[result.columns.index(value_column)]))
+    return ("value", _normalize(row[0]))
+
+
+def _direct_value(entry):
+    if isinstance(entry, BaseException):
+        return ("error", type(entry).__name__, str(entry))
+    return ("value", _normalize(entry))
+
+
+class TestArenaLastValues:
+    """``arena_last_values`` ≡ each member's own answer value, or ``None``."""
+
+    def _check(self, arena, references, sql, value_columns) -> int:
+        answered = 0
+        for value_column in value_columns:
+            values = arena_last_values(arena, sql, value_column)
+            if values is None:
+                continue
+            answered += 1
+            for entry, reference in zip(values, references):
+                assert entry is not ARENA_FALLBACK
+                assert _direct_value(entry) == _client_value(
+                    reference, sql, value_column
+                ), (sql, value_column)
+        return answered
+
+    @pytest.mark.parametrize("case_seed", range(FUZZ_CASES))
+    def test_matches_row_scan_answer_value(self, case_seed):
+        schema, rows, queries, batches, post_queries = _fuzz_case(case_seed)
+        value_columns = [None, "missing"] + [name for name, _ in schema]
+        value_columns += [f"a{index}" for index in range(10)]
+        subsets = _member_row_subsets(rows, case_seed, "members")
+        members = [_make_db(schema, subset, force_scan=False) for subset in subsets]
+        references = [_make_db(schema, subset, force_scan=True) for subset in subsets]
+        arena = ShardArena(members)
+        for sql in queries:
+            self._check(arena, references, sql, value_columns)
+        for batch_index, batch in enumerate(batches):
+            for subset, member, reference in zip(
+                _member_row_subsets(batch, case_seed, f"append-{batch_index}"),
+                members,
+                references,
+            ):
+                if subset:
+                    member.insert_rows("t", subset)
+                    reference.insert_rows("t", subset)
+            for sql in queries[:2]:
+                self._check(arena, references, sql, value_columns)
+        for sql in post_queries:
+            self._check(arena, references, sql, value_columns)
+
+    def test_statement_shapes(self):
+        schema = [("x", "INTEGER"), ("tag", "TEXT")]
+        subsets = [[{"x": 1, "tag": "a"}, {"x": 3, "tag": "b"}], [], [{"x": 2, "tag": "c"}]]
+        members = [_make_db(schema, s, force_scan=False) for s in subsets]
+        references = [_make_db(schema, s, force_scan=True) for s in subsets]
+        arena = ShardArena(members)
+        direct = [
+            ("SELECT x FROM t", None),
+            ("SELECT * FROM t WHERE x > 1", "tag"),
+            ("SELECT x AS v, tag FROM t", "v"),
+            ("SELECT x AS v, tag FROM t", "tag"),
+            ("SELECT x AS v, tag FROM t", "x"),
+            ("SELECT tag FROM t WHERE x = 9", "tag"),
+        ]
+        for sql, value_column in direct:
+            assert self._check(arena, references, sql, [value_column]) == 1, sql
+        assert arena_last_values(arena, "SELECT x FROM t", None) == [3, None, 2]
+        for sql in (
+            "SELECT X FROM t",  # only the finishing code reproduces its errors
+            "SELECT x FROM t ORDER BY x",
+            "SELECT x FROM t LIMIT 1",
+            "SELECT COUNT(*) FROM t",
+            "SELECT tag, COUNT(*) FROM t GROUP BY tag",
+            "SELECT x FROM missing",
+            "INSERT INTO t VALUES (1, 'z')",
+            "SELEC x FROM t",
+        ):
+            assert arena_last_values(arena, sql, None) is None, sql
+
+    def test_per_database_force_scan_pins_that_member_only(self):
+        subsets = [[{"x": 1}], [{"x": 2}], [{"x": 1}]]
+        members = [_make_db([("x", "INTEGER")], s, force_scan=False) for s in subsets]
+        members[1].force_scan = True
+        values = arena_last_values(ShardArena(members), "SELECT x FROM t", "x")
+        assert values == [1, ARENA_FALLBACK, 1]
